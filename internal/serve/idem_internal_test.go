@@ -52,7 +52,7 @@ func TestEncodeSessionExtraSkipsIncompleteEntries(t *testing.T) {
 	s.idemOrder = append(s.idemOrder, "complete", "open", "failed")
 	s.idemMu.Unlock()
 
-	extra, err := decodeSessionExtra(encodeSessionExtra(s))
+	extra, err := decodeSessionExtra(encodeSessionExtra(s.extra()), 16)
 	if err != nil {
 		t.Fatal(err)
 	}

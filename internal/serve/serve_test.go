@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"cohpredict/internal/core"
+	"cohpredict/internal/eval"
 	"cohpredict/internal/obs"
 	"cohpredict/internal/serve"
 )
@@ -44,6 +46,17 @@ func TestAPIErrors(t *testing.T) {
 		{"stats unknown session", "GET", "/v1/sessions/nope/stats", "", 404},
 		{"delete unknown session", "DELETE", "/v1/sessions/nope", "", 404},
 		{"wrong method", "PUT", "/v1/sessions", valid, 405},
+		// The snapshot's serving-layer Extra section: tuning (shards 1,
+		// batch 256, flush 0, max pending 16384), then one idempotency key
+		// "k" with one prediction. A non-minimal varint, or a prediction
+		// with a bit beyond the 16-node machine (it would be replayed
+		// verbatim to a client retry), must not restore.
+		{"restore canonical extra", "PUT", "/v1/sessions/r1/snapshot",
+			snapshotWithExtra(t, extraTuning+"\x01\x01k\x01\x80\x80\x02"), 201},
+		{"restore non-minimal extra", "PUT", "/v1/sessions/r2/snapshot",
+			snapshotWithExtra(t, "\x81\x00\x01\x80\x02\x00\x80\x80\x01\x00"), 400},
+		{"restore extra prediction beyond machine", "PUT", "/v1/sessions/r3/snapshot",
+			snapshotWithExtra(t, extraTuning+"\x01\x01k\x01\x80\x80\x04"), 400},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -53,6 +66,23 @@ func TestAPIErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+const extraTuning = "\x01\x01\x80\x02\x00\x80\x80\x01"
+
+// snapshotWithExtra encodes an empty 16-node engine snapshot carrying the
+// given serving-layer Extra section.
+func snapshotWithExtra(t *testing.T, extra string) string {
+	t.Helper()
+	sc, err := core.ParseScheme("last(dir+add8)1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(eval.EncodeSnapshot(&eval.Snapshot{
+		Scheme:  sc,
+		Machine: core.Machine{Nodes: 16, LineBytes: 64},
+		Extra:   []byte(extra),
+	}))
 }
 
 // TestSingleEventForm checks the endpoint's convenience form: one bare

@@ -494,7 +494,7 @@ func (s *Session) Snapshot() (*eval.Snapshot, error) {
 	// Shards own disjoint key partitions; a single sort restores the
 	// canonical order the codec requires.
 	sortEntryStates(snap.Entries)
-	snap.Extra = encodeSessionExtra(s)
+	snap.Extra = encodeSessionExtra(s.extra())
 	s.om.snapshots.Inc()
 	return snap, nil
 }
@@ -506,7 +506,7 @@ func (s *Session) Snapshot() (*eval.Snapshot, error) {
 // (the router partitions the restored keys exactly as it would have
 // partitioned the events that created them).
 func NewSessionFromSnapshot(id string, snap *eval.Snapshot, tune *SessionTuning, flt *fault.Injector, rec EventRecorder, om *serveMetrics) (*Session, error) {
-	extra, err := decodeSessionExtra(snap.Extra)
+	extra, err := decodeSessionExtra(snap.Extra, snap.Machine.Nodes)
 	if err != nil {
 		return nil, err
 	}

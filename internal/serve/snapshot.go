@@ -7,14 +7,15 @@ import (
 	"time"
 
 	"cohpredict/internal/bitmap"
+	"cohpredict/internal/canon"
 	"cohpredict/internal/core"
 )
 
 // Session snapshots ride on the eval snapshot codec: the engine state
 // (scheme, machine, tables, tallies) uses eval.EncodeSnapshot's canonical
 // wire form, and the serving-layer state — tuning and the idempotency
-// cache — is packed into its opaque Extra section by the helpers here, in
-// the same canonical uvarint style.
+// cache — is packed into its opaque Extra section by the helpers here,
+// under the same internal/canon encoding rules.
 
 // sessionExtraVersion versions the Extra section layout.
 const sessionExtraVersion = 1
@@ -38,131 +39,98 @@ type sessionExtra struct {
 	idem   []idemItem
 }
 
-// encodeSessionExtra packs the session's tuning and completed idempotency
-// entries. Quiescence guarantees every successfully admitted batch's entry
-// is complete before this runs, but a PostKeyed racing the snapshot can
+// extra captures the session's tuning and completed idempotency entries.
+// Quiescence guarantees every successfully admitted batch's entry is
+// complete before this runs, but a PostKeyed racing the snapshot can
 // register its entry and only then fail admission with ErrSnapshotting —
 // such an entry is still open (or carries an error) while we hold idemMu
 // and is skipped: baking it into the snapshot would make the restored
 // session answer a replay of the key with zero predictions and the batch
 // would silently never train.
-func encodeSessionExtra(s *Session) []byte {
-	b := binary.AppendUvarint(nil, sessionExtraVersion)
-	b = binary.AppendUvarint(b, uint64(s.cfg.Shards))
-	b = binary.AppendUvarint(b, uint64(s.cfg.BatchSize))
-	b = binary.AppendUvarint(b, uint64(s.cfg.Flush))
-	b = binary.AppendUvarint(b, uint64(s.cfg.MaxPending))
-
+func (s *Session) extra() *sessionExtra {
+	x := &sessionExtra{tuning: SessionTuning{
+		Shards: s.cfg.Shards, BatchSize: s.cfg.BatchSize, Flush: s.cfg.Flush, MaxPending: s.cfg.MaxPending,
+	}}
 	s.idemMu.Lock()
 	defer s.idemMu.Unlock()
-	keys := make([]string, 0, len(s.idemOrder))
 	for _, k := range s.idemOrder {
 		if e := s.idem[k]; e.completed() && e.err == nil {
-			keys = append(keys, k)
+			x.idem = append(x.idem, idemItem{key: k, preds: e.preds})
 		}
 	}
-	b = binary.AppendUvarint(b, uint64(len(keys)))
-	for _, k := range keys {
-		e := s.idem[k]
-		b = binary.AppendUvarint(b, uint64(len(k)))
-		b = append(b, k...)
-		b = binary.AppendUvarint(b, uint64(len(e.preds)))
-		for _, p := range e.preds {
+	return x
+}
+
+// encodeSessionExtra packs x in canonical form (internal/canon): for any
+// non-empty b that decodeSessionExtra accepts, encodeSessionExtra of the
+// result is b again.
+func encodeSessionExtra(x *sessionExtra) []byte {
+	b := binary.AppendUvarint(nil, sessionExtraVersion)
+	b = binary.AppendUvarint(b, uint64(x.tuning.Shards))
+	b = binary.AppendUvarint(b, uint64(x.tuning.BatchSize))
+	b = binary.AppendUvarint(b, uint64(x.tuning.Flush))
+	b = binary.AppendUvarint(b, uint64(x.tuning.MaxPending))
+	b = binary.AppendUvarint(b, uint64(len(x.idem)))
+	for _, it := range x.idem {
+		b = binary.AppendUvarint(b, uint64(len(it.key)))
+		b = append(b, it.key...)
+		b = binary.AppendUvarint(b, uint64(len(it.preds)))
+		for _, p := range it.preds {
 			b = binary.AppendUvarint(b, uint64(p))
 		}
 	}
 	return b
 }
 
-// decodeSessionExtra unpacks an Extra section. An empty section yields
-// zero tuning (NewSession fills the defaults) and no cache — a snapshot
-// produced outside the serving layer restores cleanly.
-func decodeSessionExtra(data []byte) (*sessionExtra, error) {
+// decodeSessionExtra unpacks an Extra section for a session of an n-node
+// machine; every restored prediction must fit bitmap.Full(nodes), as the
+// event decoders require of the bitmaps they accept. An empty section
+// yields zero tuning (NewSession fills the defaults) and no cache — a
+// snapshot produced outside the serving layer restores cleanly.
+func decodeSessionExtra(data []byte, nodes int) (*sessionExtra, error) {
 	x := &sessionExtra{}
 	if len(data) == 0 {
 		return x, nil
 	}
-	r := &extraReader{b: data}
-	if v := r.uvarint(); r.err == nil && v != sessionExtraVersion {
+	if nodes <= 0 || nodes > bitmap.MaxNodes {
+		return nil, fmt.Errorf("serve: snapshot node count %d out of range [1,%d]", nodes, bitmap.MaxNodes)
+	}
+	full := bitmap.Full(nodes)
+	r := canon.NewReader(data)
+	if v := r.Uvarint(); r.Err() == nil && v != sessionExtraVersion {
 		return nil, fmt.Errorf("serve: snapshot extra version %d not supported", v)
 	}
-	x.tuning.Shards = int(r.uvarint())
-	x.tuning.BatchSize = int(r.uvarint())
-	x.tuning.Flush = time.Duration(r.uvarint())
-	x.tuning.MaxPending = int(r.uvarint())
-	n := r.uvarint()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if n > maxIdemKeys {
-		return nil, fmt.Errorf("serve: snapshot idempotency cache of %d keys exceeds limit %d", n, maxIdemKeys)
-	}
+	x.tuning.Shards = int(r.Uvarint())
+	x.tuning.BatchSize = int(r.Uvarint())
+	x.tuning.Flush = time.Duration(r.Uvarint())
+	x.tuning.MaxPending = int(r.Uvarint())
+	// An entry takes at least 3 bytes: key length, one key byte, and the
+	// prediction count.
+	n := r.Count(3, maxIdemKeys)
 	seen := make(map[string]bool, n)
 	x.idem = make([]idemItem, 0, n)
-	for i := uint64(0); i < n; i++ {
-		kl := r.uvarint()
-		if r.err != nil {
-			return nil, r.err
-		}
-		if kl == 0 || kl > maxIdemKeyLen {
-			return nil, fmt.Errorf("serve: snapshot idempotency key length %d out of range [1,%d]", kl, maxIdemKeyLen)
-		}
-		key := r.bytes(int(kl))
-		np := r.uvarint()
-		if r.err != nil {
-			return nil, r.err
-		}
-		if np > MaxBatchEvents {
-			return nil, fmt.Errorf("serve: snapshot idempotency entry of %d predictions exceeds limit %d", np, MaxBatchEvents)
-		}
-		preds := make([]bitmap.Bitmap, np)
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		key := string(r.Bytes(maxIdemKeyLen))
+		preds := make([]bitmap.Bitmap, r.Count(1, MaxBatchEvents))
 		for j := range preds {
-			preds[j] = bitmap.Bitmap(r.uvarint())
+			preds[j] = bitmap.Bitmap(r.Uvarint())
+			if preds[j]&^full != 0 {
+				return nil, fmt.Errorf("serve: snapshot idempotency prediction %#x has bits beyond node %d", uint64(preds[j]), nodes-1)
+			}
 		}
-		if r.err != nil {
-			return nil, r.err
+		if r.Err() != nil {
+			break
 		}
-		if seen[string(key)] {
-			return nil, fmt.Errorf("serve: snapshot idempotency key %q duplicated", key)
+		if key == "" || seen[key] {
+			return nil, fmt.Errorf("serve: snapshot idempotency key %q empty or duplicated", key)
 		}
-		seen[string(key)] = true
-		x.idem = append(x.idem, idemItem{key: string(key), preds: preds})
+		seen[key] = true
+		x.idem = append(x.idem, idemItem{key: key, preds: preds})
 	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("serve: snapshot extra section has %d trailing bytes", len(r.b))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("serve: snapshot extra section: %w", err)
 	}
 	return x, nil
-}
-
-type extraReader struct {
-	b   []byte
-	err error
-}
-
-func (r *extraReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.err = fmt.Errorf("serve: snapshot extra section truncated")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *extraReader) bytes(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n > len(r.b) {
-		r.err = fmt.Errorf("serve: snapshot extra section truncated")
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
 }
 
 func sortEntryStates(es []core.EntryState) {

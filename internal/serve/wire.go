@@ -3,8 +3,7 @@ package serve
 // COHWIRE1 — the service's binary wire protocol for event posts and
 // prediction replies, negotiated per request via Content-Type / Accept
 // ("application/x-cohwire"); the JSON API remains the debugging and
-// compatibility surface. The format follows the COHSNAP1 snapshot codec's
-// discipline exactly:
+// compatibility surface. Grammar:
 //
 //	frame := magic kind payload
 //	magic := "COHWIRE1"                     (8 bytes)
@@ -13,12 +12,11 @@ package serve
 //	event := pid pc dir addr inv_readers has_prev [prev_pid prev_pc] future_readers
 //	reply := count:uvarint prediction*count
 //
-// Every integer is a minimal-length uvarint (eval.Uvarint rejects any
-// other form), has_prev is a canonical boolean (only 0 or 1), the
-// prev_pid/prev_pc fields are present exactly when has_prev is 1, and
-// trailing bytes are rejected. One encoding per value means the decoders
-// are canonical: Encode(Decode(b)) == b for every accepted frame b, the
-// property the round-trip fuzz targets pin.
+// The encoding rules are internal/canon's (minimal uvarints, a 0/1
+// has_prev, counts bounded by the input, no trailing bytes), and the event
+// field group is canon.AppendEvent / canon.Reader.Event, shared with
+// COHTRACE1. The decoders are canonical: Encode(Decode(b)) == b for every
+// accepted frame b, the property the round-trip fuzz targets pin.
 //
 // The codec kernels are the serving hot path — one frame per HTTP request,
 // one field group per event at a target of a million events per second —
@@ -28,10 +26,11 @@ package serve
 // boxing.
 
 import (
+	"encoding/binary"
 	"errors"
 
 	"cohpredict/internal/bitmap"
-	"cohpredict/internal/eval"
+	"cohpredict/internal/canon"
 	"cohpredict/internal/trace"
 )
 
@@ -48,102 +47,23 @@ const (
 	wireKindReply = 2
 )
 
-// minWireEventBytes is the smallest possible encoded event (seven
-// single-byte uvarints: pid pc dir addr inv has_prev future); the batch
-// decoder bounds the declared count against it before any allocation.
-const minWireEventBytes = 7
-
-// Static decode errors. The kernels cannot call fmt (hotpath), so each
-// failure mode is a sentinel; handlers wrap them with request context.
+// Decode failures specific to COHWIRE1; the shared ones (magic,
+// truncation, non-minimal varints, counts, has_prev, ranges, trailing
+// bytes) are internal/canon's sentinels. Handlers add request context.
 var (
-	errWireMagic      = errors.New("serve: wire frame magic missing")
-	errWireKind       = errors.New("serve: wire frame kind unknown")
-	errWireTruncated  = errors.New("serve: wire frame truncated")
-	errWireNonMinimal = errors.New("serve: wire frame has a non-minimal varint")
-	errWireCount      = errors.New("serve: wire frame count exceeds input or batch limit")
-	errWireBool       = errors.New("serve: wire frame has a non-boolean has_prev word")
-	errWireTrailing   = errors.New("serve: wire frame has trailing bytes")
-	errWireRange      = errors.New("serve: wire event field out of range for the session's machine")
-	errWireNodes      = errors.New("serve: wire decoder node count out of range")
+	errWireKind  = errors.New("serve: wire frame kind unknown")
+	errWireNodes = errors.New("serve: wire decoder node count out of range")
 )
 
-// wireReader consumes canonical uvarints from a frame; the first failure
-// sticks in err and every later read returns zero.
-type wireReader struct {
-	b   []byte
-	err error
-}
-
-//predlint:hotpath
-func (r *wireReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n, ok := eval.Uvarint(r.b)
-	switch {
-	case n == 0:
-		r.err = errWireTruncated
-		return 0
-	case !ok:
-		r.err = errWireNonMinimal
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// header checks the magic and the expected frame kind, returning false
-// (with r.err set) on mismatch.
+// readWireHeader consumes the magic and checks the frame kind.
 //
 //predlint:hotpath
-func (r *wireReader) header(kind uint64) bool {
-	if len(r.b) < len(wireMagic) || string(r.b[:len(wireMagic)]) != wireMagic {
-		r.err = errWireMagic
-		return false
+func readWireHeader(r *canon.Reader, kind uint64) error {
+	r.Magic(wireMagic)
+	if k := r.Uvarint(); r.Err() == nil && k != kind {
+		return errWireKind
 	}
-	r.b = r.b[len(wireMagic):]
-	k := r.uvarint()
-	if r.err != nil {
-		return false
-	}
-	if k != kind {
-		r.err = errWireKind
-		return false
-	}
-	return true
-}
-
-// appendWireEvent encodes one event's field group (shared by the
-// trace.Event and EventRequest encoders so the layout lives in one place).
-//
-//predlint:hotpath
-func appendWireEvent(dst []byte, pid int, pc uint64, dir int, addr, inv uint64,
-	hasPrev bool, prevPID int, prevPC, future uint64) []byte {
-	dst = appendUvarint(dst, uint64(pid))
-	dst = appendUvarint(dst, pc)
-	dst = appendUvarint(dst, uint64(dir))
-	dst = appendUvarint(dst, addr)
-	dst = appendUvarint(dst, inv)
-	if hasPrev {
-		dst = appendUvarint(dst, 1)
-		dst = appendUvarint(dst, uint64(prevPID))
-		dst = appendUvarint(dst, prevPC)
-	} else {
-		dst = appendUvarint(dst, 0)
-	}
-	return appendUvarint(dst, future)
-}
-
-// appendUvarint is binary.AppendUvarint without the import cycle bait: a
-// local spelling keeps the encoder self-contained and inlinable.
-//
-//predlint:hotpath
-func appendUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
+	return r.Err()
 }
 
 // AppendWireBatch appends the COHWIRE1 batch frame for evs to dst and
@@ -153,11 +73,11 @@ func appendUvarint(dst []byte, v uint64) []byte {
 //predlint:hotpath
 func AppendWireBatch(dst []byte, evs []trace.Event) []byte {
 	dst = append(dst, wireMagic...)
-	dst = appendUvarint(dst, wireKindBatch)
-	dst = appendUvarint(dst, uint64(len(evs)))
+	dst = binary.AppendUvarint(dst, wireKindBatch)
+	dst = binary.AppendUvarint(dst, uint64(len(evs)))
 	for i := range evs {
 		ev := &evs[i]
-		dst = appendWireEvent(dst, ev.PID, ev.PC, ev.Dir, ev.Addr, uint64(ev.InvReaders),
+		dst = canon.AppendEvent(dst, ev.PID, ev.PC, ev.Dir, ev.Addr, uint64(ev.InvReaders),
 			ev.HasPrev, ev.PrevPID, ev.PrevPC, uint64(ev.FutureReaders))
 	}
 	return dst
@@ -169,11 +89,11 @@ func AppendWireBatch(dst []byte, evs []trace.Event) []byte {
 //predlint:hotpath
 func AppendWireEvents(dst []byte, evs []EventRequest) []byte {
 	dst = append(dst, wireMagic...)
-	dst = appendUvarint(dst, wireKindBatch)
-	dst = appendUvarint(dst, uint64(len(evs)))
+	dst = binary.AppendUvarint(dst, wireKindBatch)
+	dst = binary.AppendUvarint(dst, uint64(len(evs)))
 	for i := range evs {
 		r := &evs[i]
-		dst = appendWireEvent(dst, r.PID, r.PC, r.Dir, r.Addr, r.InvReaders,
+		dst = canon.AppendEvent(dst, r.PID, r.PC, r.Dir, r.Addr, r.InvReaders,
 			r.HasPrev, r.PrevPID, r.PrevPC, r.FutureReaders)
 	}
 	return dst
@@ -193,61 +113,19 @@ func DecodeWireBatchInto(data []byte, nodes int, dst []trace.Event) ([]trace.Eve
 	if nodes <= 0 || nodes > bitmap.MaxNodes {
 		return dst, errWireNodes
 	}
-	full := uint64(bitmap.Full(nodes))
-	r := wireReader{b: data}
-	if !r.header(wireKindBatch) {
-		return dst, r.err
+	r := canon.NewReader(data)
+	if err := readWireHeader(&r, wireKindBatch); err != nil {
+		return dst, err
 	}
-	n := r.uvarint()
-	if r.err != nil {
-		return dst, r.err
-	}
-	if n > MaxBatchEvents || n > uint64(len(r.b))/minWireEventBytes {
-		return dst, errWireCount
-	}
+	n := r.Count(canon.MinEventBytes, MaxBatchEvents)
 	for i := uint64(0); i < n; i++ {
-		var ev trace.Event
-		pid := r.uvarint()
-		ev.PC = r.uvarint()
-		dir := r.uvarint()
-		ev.Addr = r.uvarint()
-		inv := r.uvarint()
-		hp := r.uvarint()
-		if r.err != nil {
-			return dst, r.err
+		ev := r.Event(nodes)
+		if r.Err() != nil {
+			return dst, r.Err()
 		}
-		if hp > 1 {
-			return dst, errWireBool
-		}
-		if hp == 1 {
-			ev.HasPrev = true
-			prevPID := r.uvarint()
-			ev.PrevPC = r.uvarint()
-			if prevPID >= uint64(nodes) {
-				if r.err != nil {
-					return dst, r.err
-				}
-				return dst, errWireRange
-			}
-			ev.PrevPID = int(prevPID)
-		}
-		future := r.uvarint()
-		if r.err != nil {
-			return dst, r.err
-		}
-		if pid >= uint64(nodes) || dir >= uint64(nodes) || inv&^full != 0 || future&^full != 0 {
-			return dst, errWireRange
-		}
-		ev.PID = int(pid)
-		ev.Dir = int(dir)
-		ev.InvReaders = bitmap.Bitmap(inv)
-		ev.FutureReaders = bitmap.Bitmap(future)
 		dst = append(dst, ev)
 	}
-	if len(r.b) != 0 {
-		return dst, errWireTrailing
-	}
-	return dst, nil
+	return dst, r.Done()
 }
 
 // DecodeWireBatch is DecodeWireBatchInto with a fresh destination (the
@@ -269,10 +147,10 @@ func DecodeWireBatch(data []byte, nodes int) ([]trace.Event, error) {
 //predlint:hotpath
 func AppendWireReply(dst []byte, preds []bitmap.Bitmap) []byte {
 	dst = append(dst, wireMagic...)
-	dst = appendUvarint(dst, wireKindReply)
-	dst = appendUvarint(dst, uint64(len(preds)))
+	dst = binary.AppendUvarint(dst, wireKindReply)
+	dst = binary.AppendUvarint(dst, uint64(len(preds)))
 	for _, p := range preds {
-		dst = appendUvarint(dst, uint64(p))
+		dst = binary.AppendUvarint(dst, uint64(p))
 	}
 	return dst
 }
@@ -283,28 +161,19 @@ func AppendWireReply(dst []byte, preds []bitmap.Bitmap) []byte {
 //
 //predlint:hotpath
 func DecodeWireReplyInto(data []byte, dst []bitmap.Bitmap) ([]bitmap.Bitmap, error) {
-	r := wireReader{b: data}
-	if !r.header(wireKindReply) {
-		return dst, r.err
+	r := canon.NewReader(data)
+	if err := readWireHeader(&r, wireKindReply); err != nil {
+		return dst, err
 	}
-	n := r.uvarint()
-	if r.err != nil {
-		return dst, r.err
-	}
-	if n > MaxBatchEvents || n > uint64(len(r.b)) {
-		return dst, errWireCount
-	}
+	n := r.Count(1, MaxBatchEvents)
 	for i := uint64(0); i < n; i++ {
-		p := r.uvarint()
-		if r.err != nil {
-			return dst, r.err
+		p := r.Uvarint()
+		if r.Err() != nil {
+			return dst, r.Err()
 		}
 		dst = append(dst, bitmap.Bitmap(p))
 	}
-	if len(r.b) != 0 {
-		return dst, errWireTrailing
-	}
-	return dst, nil
+	return dst, r.Done()
 }
 
 // DecodeWireReply is DecodeWireReplyInto with a fresh destination.

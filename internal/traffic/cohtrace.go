@@ -9,7 +9,7 @@
 // batching, same request IDs), and the served predictions and confusion
 // come back byte-identical at any shard count.
 //
-// COHTRACE1 follows the COHSNAP1/COHWIRE1 codec discipline exactly:
+// COHTRACE1 follows the canonical-encoding rules of internal/canon:
 //
 //	file    := magic count:uvarint record*count
 //	magic   := "COHTRACE1"                                (9 bytes)
@@ -19,10 +19,9 @@
 //	string  := len:uvarint byte*len
 //	event   := pid pc dir addr inv_readers has_prev [prev_pid prev_pc] future_readers
 //
-// Every integer is a minimal-length uvarint (eval.Uvarint rejects any
-// other form), has_prev is a canonical boolean, strings are raw bytes
-// behind a bounded length prefix, and trailing bytes are rejected. One
-// encoding per value makes the decoders canonical —
+// Integers are minimal uvarints, strings are raw bytes behind a bounded
+// length prefix, and the event field group is COHWIRE1's
+// (canon.AppendEvent / canon.Reader.Event). The decoders are canonical —
 // Encode(Decode(b)) == b for every accepted input b, the property the
 // fuzz targets pin. The file decoder additionally enforces the
 // cross-record invariants the recorder guarantees: session records carry
@@ -32,10 +31,12 @@
 package traffic
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
 
 	"cohpredict/internal/bitmap"
-	"cohpredict/internal/eval"
+	"cohpredict/internal/canon"
 	"cohpredict/internal/trace"
 )
 
@@ -60,26 +61,17 @@ const (
 	maxTraceLineBytes = 1 << 20
 	// maxTraceShards matches the serve layer's shard-pool cap.
 	maxTraceShards = 64
-	// minTraceEventBytes is the smallest encoded event (seven single-byte
-	// uvarints), and minTraceRecordBytes the smallest record (an empty-id
-	// request header); both bound declared counts before any allocation.
-	minTraceEventBytes  = 7
+	// minTraceRecordBytes is the smallest record (an empty-id request
+	// header); it bounds the declared record count before allocation.
 	minTraceRecordBytes = 5
 )
 
-// Static decode errors. The append kernels run on the serve layer's
-// accepted path (no fmt), so each failure mode is a sentinel; callers
+// Decode failures specific to COHTRACE1; the shared ones (magic,
+// truncation, non-minimal varints, counts, string lengths, has_prev,
+// event ranges, trailing bytes) are internal/canon's sentinels. Callers
 // wrap them with file or request context.
 var (
-	errTraceMagic      = errors.New("traffic: trace magic missing")
 	errTraceKind       = errors.New("traffic: trace record kind unknown")
-	errTraceTruncated  = errors.New("traffic: trace truncated")
-	errTraceNonMinimal = errors.New("traffic: trace has a non-minimal varint")
-	errTraceCount      = errors.New("traffic: trace count exceeds input or limit")
-	errTraceBool       = errors.New("traffic: trace has a non-boolean has_prev word")
-	errTraceTrailing   = errors.New("traffic: trace has trailing bytes")
-	errTraceString     = errors.New("traffic: trace string length out of range")
-	errTraceRange      = errors.New("traffic: trace event field out of range")
 	errTraceConfig     = errors.New("traffic: trace session config out of range")
 	errTraceSessionSeq = errors.New("traffic: trace session records out of sequence")
 	errTraceSessionRef = errors.New("traffic: trace request names an undeclared session")
@@ -115,58 +107,24 @@ type TraceRecord struct {
 	Request TraceRequest // valid when Kind == TraceKindRequest
 }
 
-// appendUvarint is the canonical little-endian base-128 encoder (the
-// same spelling as the COHWIRE1 kernels; a local copy keeps the codec
-// self-contained and inlinable).
-//
-//predlint:hotpath
-func appendUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
-}
-
 // appendTraceString encodes a length-prefixed string.
 //
 //predlint:hotpath
 func appendTraceString(dst []byte, s string) []byte {
-	dst = appendUvarint(dst, uint64(len(s)))
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
-}
-
-// appendTraceEvent encodes one event's field group — the COHWIRE1 event
-// layout, so a recorded batch costs the same per-event bytes as the wire
-// frame it arrived in.
-//
-//predlint:hotpath
-func appendTraceEvent(dst []byte, ev *trace.Event) []byte {
-	dst = appendUvarint(dst, uint64(ev.PID))
-	dst = appendUvarint(dst, ev.PC)
-	dst = appendUvarint(dst, uint64(ev.Dir))
-	dst = appendUvarint(dst, ev.Addr)
-	dst = appendUvarint(dst, uint64(ev.InvReaders))
-	if ev.HasPrev {
-		dst = appendUvarint(dst, 1)
-		dst = appendUvarint(dst, uint64(ev.PrevPID))
-		dst = appendUvarint(dst, ev.PrevPC)
-	} else {
-		dst = appendUvarint(dst, 0)
-	}
-	return appendUvarint(dst, uint64(ev.FutureReaders))
 }
 
 // appendSessionRecord encodes a kind-1 record.
 //
 //predlint:hotpath
 func appendSessionRecord(dst []byte, seq uint64, scheme string, nodes, lineBytes, shards int) []byte {
-	dst = appendUvarint(dst, TraceKindSession)
-	dst = appendUvarint(dst, seq)
+	dst = binary.AppendUvarint(dst, TraceKindSession)
+	dst = binary.AppendUvarint(dst, seq)
 	dst = appendTraceString(dst, scheme)
-	dst = appendUvarint(dst, uint64(nodes))
-	dst = appendUvarint(dst, uint64(lineBytes))
-	return appendUvarint(dst, uint64(shards))
+	dst = binary.AppendUvarint(dst, uint64(nodes))
+	dst = binary.AppendUvarint(dst, uint64(lineBytes))
+	return binary.AppendUvarint(dst, uint64(shards))
 }
 
 // appendRequestRecord encodes a kind-2 record. It is the recorder's
@@ -176,13 +134,15 @@ func appendSessionRecord(dst []byte, seq uint64, scheme string, nodes, lineBytes
 //
 //predlint:hotpath
 func appendRequestRecord(dst []byte, sess, arrivalNS uint64, id string, evs []trace.Event) []byte {
-	dst = appendUvarint(dst, TraceKindRequest)
-	dst = appendUvarint(dst, sess)
-	dst = appendUvarint(dst, arrivalNS)
+	dst = binary.AppendUvarint(dst, TraceKindRequest)
+	dst = binary.AppendUvarint(dst, sess)
+	dst = binary.AppendUvarint(dst, arrivalNS)
 	dst = appendTraceString(dst, id)
-	dst = appendUvarint(dst, uint64(len(evs)))
+	dst = binary.AppendUvarint(dst, uint64(len(evs)))
 	for i := range evs {
-		dst = appendTraceEvent(dst, &evs[i])
+		ev := &evs[i]
+		dst = canon.AppendEvent(dst, ev.PID, ev.PC, ev.Dir, ev.Addr, uint64(ev.InvReaders),
+			ev.HasPrev, ev.PrevPID, ev.PrevPC, uint64(ev.FutureReaders))
 	}
 	return dst
 }
@@ -203,96 +163,60 @@ func AppendTraceRecord(dst []byte, rec *TraceRecord) []byte {
 // records in order.
 func EncodeTraceFile(recs []TraceRecord) []byte {
 	dst := append([]byte(nil), traceMagic...)
-	dst = appendUvarint(dst, uint64(len(recs)))
+	dst = binary.AppendUvarint(dst, uint64(len(recs)))
 	for i := range recs {
 		dst = AppendTraceRecord(dst, &recs[i])
 	}
 	return dst
 }
 
-// traceReader consumes canonical uvarints and bounded strings; the first
-// failure sticks in err and every later read returns zero.
-type traceReader struct {
-	b   []byte
-	err error
-}
-
-func (r *traceReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n, ok := eval.Uvarint(r.b)
-	switch {
-	case n == 0:
-		r.err = errTraceTruncated
-		return 0
-	case !ok:
-		r.err = errTraceNonMinimal
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *traceReader) str() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > maxTraceString {
-		r.err = errTraceString
-		return ""
-	}
-	if uint64(len(r.b)) < n {
-		r.err = errTraceTruncated
-		return ""
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
-
-// decodeTraceEvent decodes one event field group, validating ranges
-// against an n-node machine.
-func (r *traceReader) event(nodes int) (trace.Event, error) {
-	var ev trace.Event
-	full := uint64(bitmap.Full(nodes))
-	pid := r.uvarint()
-	ev.PC = r.uvarint()
-	dir := r.uvarint()
-	ev.Addr = r.uvarint()
-	inv := r.uvarint()
-	hp := r.uvarint()
-	if r.err != nil {
-		return ev, r.err
-	}
-	if hp > 1 {
-		return ev, errTraceBool
-	}
-	if hp == 1 {
-		ev.HasPrev = true
-		prevPID := r.uvarint()
-		ev.PrevPC = r.uvarint()
-		if r.err != nil {
-			return ev, r.err
+// readTraceRecord decodes one record from r. Event fields are checked
+// against the 64-node bitmap cap; the file decoder re-checks them against
+// the owning session's machine.
+func readTraceRecord(r *canon.Reader) (rec TraceRecord, err error) {
+	switch kind := r.Uvarint(); {
+	case r.Err() != nil:
+		return rec, r.Err()
+	case kind == TraceKindSession:
+		rec.Kind = TraceKindSession
+		s := &rec.Session
+		s.Seq = r.Uvarint()
+		s.Scheme = string(r.Bytes(maxTraceString))
+		nodes := r.Uvarint()
+		lineBytes := r.Uvarint()
+		shards := r.Uvarint()
+		if r.Err() != nil {
+			return rec, r.Err()
 		}
-		if prevPID >= uint64(nodes) {
-			return ev, errTraceRange
+		if s.Scheme == "" {
+			return rec, canon.ErrLength
 		}
-		ev.PrevPID = int(prevPID)
+		if nodes == 0 || nodes > bitmap.MaxNodes ||
+			lineBytes == 0 || lineBytes > maxTraceLineBytes || lineBytes&(lineBytes-1) != 0 ||
+			shards == 0 || shards > maxTraceShards {
+			return rec, errTraceConfig
+		}
+		s.Nodes = int(nodes)
+		s.LineBytes = int(lineBytes)
+		s.Shards = int(shards)
+	case kind == TraceKindRequest:
+		rec.Kind = TraceKindRequest
+		q := &rec.Request
+		q.Session = r.Uvarint()
+		q.ArrivalNS = r.Uvarint()
+		q.ID = string(r.Bytes(maxTraceString))
+		count := r.Count(canon.MinEventBytes, maxTraceBatch)
+		if r.Err() == nil && count == 0 {
+			return rec, canon.ErrCount
+		}
+		q.Events = make([]trace.Event, 0, count)
+		for i := uint64(0); i < count && r.Err() == nil; i++ {
+			q.Events = append(q.Events, r.Event(bitmap.MaxNodes))
+		}
+	default:
+		return rec, errTraceKind
 	}
-	future := r.uvarint()
-	if r.err != nil {
-		return ev, r.err
-	}
-	if pid >= uint64(nodes) || dir >= uint64(nodes) || inv&^full != 0 || future&^full != 0 {
-		return ev, errTraceRange
-	}
-	ev.PID = int(pid)
-	ev.Dir = int(dir)
-	ev.InvReaders = bitmap.Bitmap(inv)
-	ev.FutureReaders = bitmap.Bitmap(future)
-	return ev, nil
+	return rec, r.Err()
 }
 
 // DecodeTraceRecord decodes one record from the front of data, returning
@@ -302,59 +226,11 @@ func (r *traceReader) event(nodes int) (trace.Event, error) {
 // decoder never panics, and accepts only the canonical form:
 // AppendTraceRecord over the result reproduces data[:n] byte for byte.
 func DecodeTraceRecord(data []byte) (rec TraceRecord, n int, err error) {
-	r := traceReader{b: data}
-	kind := r.uvarint()
-	if r.err != nil {
-		return rec, 0, r.err
+	r := canon.NewReader(data)
+	if rec, err = readTraceRecord(&r); err != nil {
+		return rec, 0, err
 	}
-	switch kind {
-	case TraceKindSession:
-		rec.Kind = TraceKindSession
-		s := &rec.Session
-		s.Seq = r.uvarint()
-		s.Scheme = r.str()
-		nodes := r.uvarint()
-		lineBytes := r.uvarint()
-		shards := r.uvarint()
-		if r.err != nil {
-			return rec, 0, r.err
-		}
-		if s.Scheme == "" {
-			return rec, 0, errTraceString
-		}
-		if nodes == 0 || nodes > bitmap.MaxNodes ||
-			lineBytes == 0 || lineBytes > maxTraceLineBytes || lineBytes&(lineBytes-1) != 0 ||
-			shards == 0 || shards > maxTraceShards {
-			return rec, 0, errTraceConfig
-		}
-		s.Nodes = int(nodes)
-		s.LineBytes = int(lineBytes)
-		s.Shards = int(shards)
-	case TraceKindRequest:
-		rec.Kind = TraceKindRequest
-		q := &rec.Request
-		q.Session = r.uvarint()
-		q.ArrivalNS = r.uvarint()
-		q.ID = r.str()
-		count := r.uvarint()
-		if r.err != nil {
-			return rec, 0, r.err
-		}
-		if count == 0 || count > maxTraceBatch || count > uint64(len(r.b))/minTraceEventBytes {
-			return rec, 0, errTraceCount
-		}
-		q.Events = make([]trace.Event, 0, count)
-		for i := uint64(0); i < count; i++ {
-			ev, err := r.event(bitmap.MaxNodes)
-			if err != nil {
-				return rec, 0, err
-			}
-			q.Events = append(q.Events, ev)
-		}
-	default:
-		return rec, 0, errTraceKind
-	}
-	return rec, len(data) - len(r.b), nil
+	return rec, len(data) - r.Len(), nil
 }
 
 // DecodeTraceFile decodes a full COHTRACE1 file, enforcing both the
@@ -364,31 +240,20 @@ func DecodeTraceRecord(data []byte) (rec TraceRecord, n int, err error) {
 // never panics; EncodeTraceFile over the result reproduces the input
 // exactly.
 func DecodeTraceFile(data []byte) ([]TraceRecord, error) {
-	if len(data) < len(traceMagic) || string(data[:len(traceMagic)]) != traceMagic {
-		return nil, errTraceMagic
+	r := canon.NewReader(data)
+	r.Magic(traceMagic)
+	count := r.Count(minTraceRecordBytes, math.MaxUint64)
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
-	rest := data[len(traceMagic):]
-	count, n, ok := eval.Uvarint(rest)
-	switch {
-	case n == 0:
-		return nil, errTraceTruncated
-	case !ok:
-		return nil, errTraceNonMinimal
-	}
-	rest = rest[n:]
-	if count > uint64(len(rest))/minTraceRecordBytes {
-		return nil, errTraceCount
-	}
-
 	recs := make([]TraceRecord, 0, count)
 	var sessions []int // nodes per declared seq
 	var lastArrival uint64
 	for i := uint64(0); i < count; i++ {
-		rec, used, err := DecodeTraceRecord(rest)
+		rec, err := readTraceRecord(&r)
 		if err != nil {
 			return nil, err
 		}
-		rest = rest[used:]
 		switch rec.Kind {
 		case TraceKindSession:
 			if rec.Session.Seq != uint64(len(sessions)) {
@@ -404,21 +269,16 @@ func DecodeTraceFile(data []byte) ([]TraceRecord, error) {
 				return nil, errTraceArrival
 			}
 			lastArrival = q.ArrivalNS
-			nodes := sessions[q.Session]
-			full := uint64(bitmap.Full(nodes))
 			for j := range q.Events {
-				ev := &q.Events[j]
-				if ev.PID >= nodes || ev.Dir >= nodes ||
-					uint64(ev.InvReaders)&^full != 0 || uint64(ev.FutureReaders)&^full != 0 ||
-					(ev.HasPrev && ev.PrevPID >= nodes) {
-					return nil, errTraceRange
+				if !canon.EventFits(&q.Events[j], sessions[q.Session]) {
+					return nil, canon.ErrRange
 				}
 			}
 		}
 		recs = append(recs, rec)
 	}
-	if len(rest) != 0 {
-		return nil, errTraceTrailing
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return recs, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cohpredict/internal/bitmap"
+	"cohpredict/internal/canon"
 	"cohpredict/internal/trace"
 )
 
@@ -102,13 +103,13 @@ func TestTraceFileErrors(t *testing.T) {
 		data []byte
 		want error
 	}{
-		{"empty", nil, errTraceMagic},
-		{"bad magic", []byte("COHTRACE2xxxxx"), errTraceMagic},
-		{"magic only", []byte(traceMagic), errTraceTruncated},
-		{"trailing byte", corrupt(func(b []byte) []byte { return append(b, 0) }), errTraceTrailing},
-		{"truncated tail", corrupt(func(b []byte) []byte { return b[:len(b)-1] }), errTraceTruncated},
-		{"count exceeds input", append([]byte(traceMagic), 0xff, 0x7f), errTraceCount},
-		{"non-minimal count", append([]byte(traceMagic), 0x80, 0x00), errTraceNonMinimal},
+		{"empty", nil, canon.ErrMagic},
+		{"bad magic", []byte("COHTRACE2xxxxx"), canon.ErrMagic},
+		{"magic only", []byte(traceMagic), canon.ErrTruncated},
+		{"trailing byte", corrupt(func(b []byte) []byte { return append(b, 0) }), canon.ErrTrailing},
+		{"truncated tail", corrupt(func(b []byte) []byte { return b[:len(b)-1] }), canon.ErrTruncated},
+		{"count exceeds input", append([]byte(traceMagic), 0xff, 0x7f), canon.ErrCount},
+		{"non-minimal count", append([]byte(traceMagic), 0x80, 0x00), canon.ErrNonMinimal},
 		{"unknown kind", append([]byte(traceMagic), 1, 3, 0, 0, 0, 0), errTraceKind},
 		{"seq out of order", EncodeTraceFile([]TraceRecord{
 			{Kind: TraceKindSession, Session: TraceSession{Seq: 1, Scheme: "last()1", Nodes: 4, LineBytes: 64, Shards: 1}},
@@ -125,7 +126,7 @@ func TestTraceFileErrors(t *testing.T) {
 			okRecs[2].withSeq(0), // 4-node session
 			{Kind: TraceKindRequest, Request: TraceRequest{Session: 0, ArrivalNS: 1, ID: "a",
 				Events: []trace.Event{{PID: 5, PC: 1, Dir: 0, Addr: 64, FutureReaders: 1}}}},
-		}), errTraceRange},
+		}), canon.ErrRange},
 	}
 	for _, tc := range cases {
 		_, err := DecodeTraceFile(tc.data)
@@ -158,27 +159,27 @@ func TestTraceRecordErrors(t *testing.T) {
 		data []byte
 		want error
 	}{
-		{"empty", nil, errTraceTruncated},
-		{"empty scheme", session(func(s *TraceSession) { s.Scheme = "" }), errTraceString},
+		{"empty", nil, canon.ErrTruncated},
+		{"empty scheme", session(func(s *TraceSession) { s.Scheme = "" }), canon.ErrLength},
 		{"zero nodes", session(func(s *TraceSession) { s.Nodes = 0 }), errTraceConfig},
 		{"nodes beyond bitmap", session(func(s *TraceSession) { s.Nodes = bitmap.MaxNodes + 1 }), errTraceConfig},
 		{"line bytes not power of two", session(func(s *TraceSession) { s.LineBytes = 48 }), errTraceConfig},
 		{"zero shards", session(func(s *TraceSession) { s.Shards = 0 }), errTraceConfig},
 		{"too many shards", session(func(s *TraceSession) { s.Shards = maxTraceShards + 1 }), errTraceConfig},
-		{"empty batch", request(func(q *TraceRequest) { q.Events = nil }), errTraceCount},
+		{"empty batch", request(func(q *TraceRequest) { q.Events = nil }), canon.ErrCount},
 		{"pid out of range", request(func(q *TraceRequest) {
 			q.Events = []trace.Event{{PID: bitmap.MaxNodes, PC: 1, FutureReaders: 1}}
-		}), errTraceRange},
+		}), canon.ErrRange},
 		{"prev pid out of range", request(func(q *TraceRequest) {
 			q.Events = []trace.Event{{PID: 0, PC: 1, HasPrev: true, PrevPID: bitmap.MaxNodes, FutureReaders: 1}}
-		}), errTraceRange},
+		}), canon.ErrRange},
 		{"oversized string", request(func(q *TraceRequest) {
 			q.ID = string(make([]byte, maxTraceString+1))
-		}), errTraceString},
+		}), canon.ErrLength},
 		// Record [3] encodes as [kind sess arrival idlen count pid pc dir
 		// addr inv hp future]; cut at the hp byte and write 2 (plus one pad
 		// byte so the count bound still passes).
-		{"non-boolean has_prev", append(enc(sampleRecords()[3])[:10], 2, 0), errTraceBool},
+		{"non-boolean has_prev", append(enc(sampleRecords()[3])[:10], 2, 0), canon.ErrBool},
 	}
 	for _, tc := range cases {
 		_, _, err := DecodeTraceRecord(tc.data)
@@ -195,7 +196,7 @@ func TestTraceNonMinimalVarintRejected(t *testing.T) {
 	data := AppendTraceRecord(nil, &rec)
 	// data[0] is the kind (1 byte, value 2); re-encode it non-minimally.
 	wide := append([]byte{0x82, 0x00}, data[1:]...)
-	if _, _, err := DecodeTraceRecord(wide); !errors.Is(err, errTraceNonMinimal) {
+	if _, _, err := DecodeTraceRecord(wide); !errors.Is(err, canon.ErrNonMinimal) {
 		t.Fatalf("non-minimal kind accepted: %v", err)
 	}
 }

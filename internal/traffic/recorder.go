@@ -11,6 +11,7 @@ package traffic
 // (TestRecorderAppendAllocFree pins the steady state at zero).
 
 import (
+	"encoding/binary"
 	"sync"
 
 	"cohpredict/internal/flight"
@@ -130,7 +131,7 @@ func (r *Recorder) Bytes() []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	dst := append([]byte(nil), traceMagic...)
-	dst = appendUvarint(dst, uint64(r.count))
+	dst = binary.AppendUvarint(dst, uint64(r.count))
 	return append(dst, r.buf...)
 }
 
